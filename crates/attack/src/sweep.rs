@@ -226,7 +226,13 @@ pub fn prepend_sweep_with(
 /// of each tier. Handy for the "special attack scenarios" (Section VI-B-2).
 #[must_use]
 pub fn representative_of_tier(graph: &AsGraph, tier: u32) -> Option<Asn> {
-    let tiers = TierMap::classify(graph);
+    representative_of_tier_in(&TierMap::classify(graph), tier)
+}
+
+/// [`representative_of_tier`] over an existing classification, for callers
+/// that pick several tiers from one graph.
+#[must_use]
+pub fn representative_of_tier_in(tiers: &TierMap, tier: u32) -> Option<Asn> {
     tiers.in_tier(tier).min()
 }
 
@@ -235,10 +241,9 @@ pub fn representative_of_tier(graph: &AsGraph, tier: u32) -> Option<Asn> {
 /// attacker). Returns `None` if the graph has no stubs.
 #[must_use]
 pub fn best_connected_stub(graph: &AsGraph) -> Option<Asn> {
-    let tiers = TierMap::classify(graph);
     graph
         .asns()
-        .filter(|&a| tiers.is_stub(graph, a))
+        .filter(|&a| graph.customers(a).next().is_none())
         .max_by_key(|&a| (graph.peers(a).count(), std::cmp::Reverse(a.value())))
 }
 
@@ -398,6 +403,13 @@ mod tests {
         let g = graph();
         let t1 = representative_of_tier(&g, 1).unwrap();
         assert_eq!(t1, Asn(100));
+        let tiers = TierMap::classify(&g);
+        for tier in [1, 2, 3, 99] {
+            assert_eq!(
+                representative_of_tier_in(&tiers, tier),
+                representative_of_tier(&g, tier)
+            );
+        }
         let stub = best_connected_stub(&g).unwrap();
         // Content ASes are stubs with rich peering -> they should win.
         assert!(stub.value() >= CONTENT_BASE);

@@ -103,7 +103,7 @@ pub fn fig14(graph: &AsGraph, scale: Scale, seed: u64) -> DetectionLatency {
         // Skip infeasible/ineffective attacks the same way Figure 13 does.
         let engine = aspp_routing::RoutingEngine::new(graph);
         let outcome = engine.compute(&exp.to_spec());
-        if !outcome.has_attack() || outcome.polluted_count() == 0 || outcome.changed_count() == 0 {
+        if !outcome.has_attack() || outcome.polluted_count() == 0 || !outcome.any_changed() {
             continue;
         }
         total += 1;

@@ -17,11 +17,11 @@
 //! detector alarms, and inter-step churn (see [`aspp_scenario::timeline`]).
 
 use super::Scale;
-use aspp_attack::sweep::{best_connected_stub, representative_of_tier};
+use aspp_attack::sweep::{best_connected_stub, representative_of_tier_in};
 use aspp_routing::{AttackStrategy, BatchRunner, ExportMode};
 use aspp_scenario::estimate::{estimate_with, exact_enumeration, ExactEnumeration};
 use aspp_scenario::{Action, Estimate, EstimatorConfig, Scenario, ScenarioRun};
-use aspp_topology::AsGraph;
+use aspp_topology::{tier::TierMap, AsGraph};
 use aspp_types::{Asn, Ipv4Prefix};
 
 /// The fixed documentation prefix the canonical scenario announces.
@@ -34,9 +34,10 @@ pub fn canonical_prefix() -> Ipv4Prefix {
 /// attacker, and a distinct competitor from the next tier down.
 #[must_use]
 pub fn canonical_actors(graph: &AsGraph) -> (Asn, Asn, Asn) {
+    let tiers = TierMap::classify(graph);
     let victim = best_connected_stub(graph).expect("generated graphs have stubs");
-    let primary = representative_of_tier(graph, 1).expect("generated graphs have a tier 1");
-    let competitor = representative_of_tier(graph, 2)
+    let primary = representative_of_tier_in(&tiers, 1).expect("generated graphs have a tier 1");
+    let competitor = representative_of_tier_in(&tiers, 2)
         .filter(|&c| c != primary && c != victim)
         .or_else(|| {
             graph
@@ -133,15 +134,17 @@ pub fn estimate_with_runner(
 }
 
 /// Cross-validates the estimator against exact enumeration over the same
-/// pools: returns the estimate, the ground truth, and whether the exact
-/// mean pollution lies inside the 95% bootstrap CI.
+/// pools, both resolved through `runner`: returns the estimate, the ground
+/// truth, and whether the exact mean pollution lies inside the 95%
+/// bootstrap CI.
 #[must_use]
 pub fn cross_validate(
     graph: &AsGraph,
     config: &EstimatorConfig,
+    runner: &BatchRunner,
 ) -> (Estimate, ExactEnumeration, bool) {
-    let est = estimate_with(graph, config, &BatchRunner::new());
-    let exact = exact_enumeration(graph, config);
+    let est = estimate_with(graph, config, runner);
+    let exact = exact_enumeration(graph, config, runner);
     let within =
         est.pollution_ci.0 <= exact.mean_pollution && exact.mean_pollution <= est.pollution_ci.1;
     (est, exact, within)
@@ -174,7 +177,7 @@ mod tests {
     fn smoke_cross_validation_brackets_the_exact_mean() {
         let graph = Scale::Smoke.internet(13);
         let config = estimator_config(Scale::Smoke, 13);
-        let (est, exact, within) = cross_validate(&graph, &config);
+        let (est, exact, within) = cross_validate(&graph, &config, &BatchRunner::new());
         assert!(
             within,
             "exact {} outside CI [{}, {}]",

@@ -156,40 +156,151 @@ pub struct DeliveryStats {
     pub looped: f64,
 }
 
-/// Walks the data plane from every AS and aggregates the fates.
+/// The data-plane fate of every AS except the victim, as fractions.
+///
+/// Equal, bit for bit, to aggregating [`walk`] from every source, but
+/// resolved in one memoized sweep over node indices instead of one walk
+/// per source. A walk has two phases:
+///
+/// 1. It follows final-pass next hops. It ends at the victim (delivered),
+///    at an AS without a next hop (blackholed), at an AS already on the
+///    chain (looped), or at the attacker M.
+/// 2. At M, an origin hijack blackholes. Any other attacker forwards over
+///    its clean chain, which is the same for every source, so it is
+///    resolved once, together with its node set C.
+///
+/// A source that reached M is looped if phase 2 loops on its own, or if
+/// its phase-1 chain, M excluded, holds a node of C: `walk` meets that
+/// node again before any later dead end. Otherwise the source takes phase
+/// 2's fate. Each node memoizes its phase-1 fate and whether its chain
+/// crosses C; an on-trail mark catches forwarding cycles. Fates are
+/// counted as integers and divided once, which equals the per-walk sums
+/// of `1.0` exactly.
 #[must_use]
 pub fn delivery_stats(outcome: &RoutingOutcome<'_>) -> DeliveryStats {
-    let graph_asns: Vec<Asn> = outcome_graph_asns(outcome);
-    let mut stats = DeliveryStats::default();
-    let mut total = 0usize;
-    for asn in graph_asns {
-        if asn == outcome.victim() {
-            continue;
-        }
-        total += 1;
-        match walk(outcome, asn) {
-            Delivery::Delivered { intercepted, .. } => {
-                stats.delivered += 1.0;
-                if intercepted {
-                    stats.intercepted += 1.0;
-                }
+    let graph = outcome.graph();
+    let n = graph.len();
+    let victim = graph
+        .index_of(outcome.victim())
+        .expect("the victim is a node of its outcome's graph");
+    let attacker = outcome.attacker().and_then(|m| graph.index_of(m));
+    let hijack = matches!(
+        outcome
+            .spec()
+            .attacker_model()
+            .map(aspp_routing::AttackerModel::attack_strategy),
+        Some(AttackStrategy::OriginHijack)
+    );
+
+    let mut on_clean_chain = vec![false; n];
+    let onward = match attacker {
+        Some(m) if !hijack => clean_chain_fate(outcome, m, victim, &mut on_clean_chain),
+        _ => Fate::Blackholed,
+    };
+
+    let mut fate = vec![Fate::Unresolved; n];
+    let mut trail = Vec::new();
+    let (mut delivered, mut intercepted, mut blackholed, mut looped) = (0usize, 0, 0, 0);
+    for src in (0..n).filter(|&i| i != victim) {
+        let mut cur = src;
+        let mut verdict = loop {
+            match fate[cur] {
+                Fate::Unresolved => {}
+                Fate::OnTrail => break Fate::Looped,
+                resolved => break resolved,
             }
-            Delivery::Blackholed { .. } => stats.blackholed += 1.0,
-            Delivery::Looped { .. } => stats.looped += 1.0,
+            if cur == victim {
+                break Fate::Delivered;
+            }
+            if Some(cur) == attacker {
+                break Fate::Attacker { crosses: false };
+            }
+            let Some(next) = outcome.parent_at(cur) else {
+                break Fate::Blackholed;
+            };
+            fate[cur] = Fate::OnTrail;
+            trail.push(cur);
+            cur = next;
+        };
+        for &node in trail.iter().rev() {
+            if verdict == (Fate::Attacker { crosses: false }) && on_clean_chain[node] {
+                verdict = Fate::Attacker { crosses: true };
+            }
+            fate[node] = verdict;
+        }
+        trail.clear();
+
+        let end = match verdict {
+            Fate::Attacker { crosses: true } => Fate::Looped,
+            Fate::Attacker { crosses: false } => {
+                if onward == Fate::Delivered {
+                    intercepted += 1;
+                }
+                onward
+            }
+            direct => direct,
+        };
+        match end {
+            Fate::Delivered => delivered += 1,
+            Fate::Blackholed => blackholed += 1,
+            _ => looped += 1,
         }
     }
-    if total > 0 {
-        let n = total as f64;
-        stats.delivered /= n;
-        stats.intercepted /= n;
-        stats.blackholed /= n;
-        stats.looped /= n;
+
+    let total = n - 1;
+    if total == 0 {
+        return DeliveryStats::default();
     }
-    stats
+    let share = |count: usize| count as f64 / total as f64;
+    DeliveryStats {
+        delivered: share(delivered),
+        intercepted: share(intercepted),
+        blackholed: share(blackholed),
+        looped: share(looped),
+    }
 }
 
-fn outcome_graph_asns(outcome: &RoutingOutcome<'_>) -> Vec<Asn> {
-    outcome.asns().collect()
+/// A node's memoized phase-1 fate in [`delivery_stats`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fate {
+    Unresolved,
+    /// On the chain being resolved; meeting it again closes a cycle.
+    OnTrail,
+    Delivered,
+    Blackholed,
+    Looped,
+    /// Reaches the attacker; `crosses` says whether the chain before it
+    /// holds a node of the attacker's clean chain.
+    Attacker {
+        crosses: bool,
+    },
+}
+
+/// Phase 2 of [`walk`] from the attacker `m`: follows clean-pass next hops,
+/// marks every node visited in `on_chain`, and returns where the chain
+/// ends — `Delivered` at the victim, `Blackholed` at a dead end, `Looped`
+/// on a repeat.
+fn clean_chain_fate(
+    outcome: &RoutingOutcome<'_>,
+    m: usize,
+    victim: usize,
+    on_chain: &mut [bool],
+) -> Fate {
+    let mut cur = m;
+    on_chain[m] = true;
+    loop {
+        if cur == victim {
+            return Fate::Delivered;
+        }
+        match outcome.clean_parent_at(cur) {
+            None => return Fate::Blackholed,
+            Some(next) if on_chain[next] => return Fate::Looped,
+            Some(next) => {
+                on_chain[next] = true;
+                cur = next;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

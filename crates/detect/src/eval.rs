@@ -37,7 +37,7 @@ pub fn detect_attack(graph: &AsGraph, exp: &HijackExperiment, monitors: &[Asn]) 
     // only ever judges invariant-clean equilibria.
     aspp_routing::audit::check_outcome(&outcome);
     let feasible = outcome.has_attack();
-    let effective = outcome.polluted_count() > 0 && outcome.changed_count() > 0;
+    let effective = outcome.polluted_count() > 0 && outcome.any_changed();
     if !feasible || !effective {
         return DetectionResult {
             feasible,
@@ -150,7 +150,7 @@ pub fn accuracy_vs_monitors(
                     let outcome = engine.compute_with(&exp.to_spec(), &mut ws);
                     if !outcome.has_attack()
                         || outcome.polluted_count() == 0
-                        || outcome.changed_count() == 0
+                        || !outcome.any_changed()
                     {
                         continue;
                     }
@@ -257,7 +257,7 @@ pub fn polluted_fraction_before_detection(
     let _span = aspp_obs::trace::span("detect.polluted_before_detection");
     let engine = RoutingEngine::new(graph);
     let outcome = engine.compute(&exp.to_spec());
-    if !outcome.has_attack() || outcome.polluted_count() == 0 || outcome.changed_count() == 0 {
+    if !outcome.has_attack() || outcome.polluted_count() == 0 || !outcome.any_changed() {
         return None;
     }
     let detector = Detector::new(graph);

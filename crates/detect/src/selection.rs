@@ -36,10 +36,7 @@ fn prepare(graph: &AsGraph, exps: &[HijackExperiment]) -> Vec<PreparedAttack> {
     exps.iter()
         .filter_map(|exp| {
             let outcome = engine.compute(&exp.to_spec());
-            if !outcome.has_attack()
-                || outcome.polluted_count() == 0
-                || outcome.changed_count() == 0
-            {
+            if !outcome.has_attack() || outcome.polluted_count() == 0 || !outcome.any_changed() {
                 return None;
             }
             Some(collect_paths(graph, &outcome))

@@ -2008,6 +2008,27 @@ impl RoutingOutcome<'_> {
     /// Panics if `asn` (or the route's next hop) is not in the graph.
     #[doc(hidden)]
     pub fn override_route_unchecked(&mut self, asn: Asn, route: Option<RouteInfo>) {
+        let (idx, node) = self.unchecked_node(asn, route);
+        match &mut self.attacked {
+            Some(pass) => pass.set(idx, node),
+            None => Arc::make_mut(&mut self.clean).set(idx, node),
+        }
+    }
+
+    /// Like [`override_route_unchecked`](Self::override_route_unchecked),
+    /// but overwrites the *clean* pass even when an attack ran — the pass
+    /// an interceptor forwards over. Test-only, like its sibling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `asn` (or the route's next hop) is not in the graph.
+    #[doc(hidden)]
+    pub fn override_clean_route_unchecked(&mut self, asn: Asn, route: Option<RouteInfo>) {
+        let (idx, node) = self.unchecked_node(asn, route);
+        Arc::make_mut(&mut self.clean).set(idx, node);
+    }
+
+    fn unchecked_node(&self, asn: Asn, route: Option<RouteInfo>) -> (usize, Option<NodeRoute>) {
         let idx = self
             .graph
             .index_of(asn)
@@ -2022,14 +2043,10 @@ impl RoutingOutcome<'_> {
             }),
             via_attacker: r.via_attacker,
         });
-        match &mut self.attacked {
-            Some(pass) => pass.set(idx, node),
-            None => Arc::make_mut(&mut self.clean).set(idx, node),
-        }
+        (idx, node)
     }
 
-    fn info_from(&self, pass: &Pass, asn: Asn) -> Option<RouteInfo> {
-        let idx = self.graph.index_of(asn)?;
+    fn info_at(&self, pass: &Pass, idx: usize) -> Option<RouteInfo> {
         let r = pass.get(idx)?;
         Some(RouteInfo {
             class: r.class,
@@ -2043,19 +2060,63 @@ impl RoutingOutcome<'_> {
     /// ran, clean otherwise).
     #[must_use]
     pub fn route(&self, asn: Asn) -> Option<RouteInfo> {
-        self.info_from(self.pass(), asn)
+        self.route_at(self.graph.index_of(asn)?)
     }
 
     /// `asn`'s best route in the clean (pre-attack) equilibrium.
     #[must_use]
     pub fn clean_route(&self, asn: Asn) -> Option<RouteInfo> {
-        self.info_from(&self.clean, asn)
+        self.info_at(&self.clean, self.graph.index_of(asn)?)
     }
 
     /// Returns `true` if `asn` adopted the attacker's modified route.
     #[must_use]
     pub fn is_polluted(&self, asn: Asn) -> bool {
-        self.route(asn).is_some_and(|r| r.via_attacker)
+        self.graph
+            .index_of(asn)
+            .is_some_and(|idx| self.is_polluted_at(idx))
+    }
+
+    /// [`route`](Self::route) by dense node index (see
+    /// [`AsGraph::index_of`]): no ASN lookup, for sweeps over every node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not a node index of the graph.
+    #[must_use]
+    pub fn route_at(&self, idx: usize) -> Option<RouteInfo> {
+        self.info_at(self.pass(), idx)
+    }
+
+    /// The node index of `idx`'s next hop in the final equilibrium; `None`
+    /// when it has no route or is a route's source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not a node index of the graph.
+    #[must_use]
+    pub fn parent_at(&self, idx: usize) -> Option<usize> {
+        self.pass().get(idx)?.parent
+    }
+
+    /// [`parent_at`](Self::parent_at) in the clean (pre-attack) equilibrium.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not a node index of the graph.
+    #[must_use]
+    pub fn clean_parent_at(&self, idx: usize) -> Option<usize> {
+        self.clean.get(idx)?.parent
+    }
+
+    /// [`is_polluted`](Self::is_polluted) by dense node index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not a node index of the graph.
+    #[must_use]
+    pub fn is_polluted_at(&self, idx: usize) -> bool {
+        self.pass().get(idx).is_some_and(|r| r.via_attacker)
     }
 
     /// Number of ASes (excluding victim and attacker) in the evaluation.
@@ -2245,6 +2306,17 @@ impl RoutingOutcome<'_> {
     /// allocates two buffers total instead of two `AsPath`s per AS.
     #[must_use]
     pub fn changed_count(&self) -> usize {
+        self.count_changed(usize::MAX)
+    }
+
+    /// `changed_count() > 0`, stopping at the first visibly changed AS.
+    #[must_use]
+    pub fn any_changed(&self) -> bool {
+        self.count_changed(1) > 0
+    }
+
+    /// Counts visibly changed ASes, stopping once `limit` are found.
+    fn count_changed(&self, limit: usize) -> usize {
         let Some(attacked) = &self.attacked else {
             return 0;
         };
@@ -2263,6 +2335,9 @@ impl RoutingOutcome<'_> {
             };
             if differs {
                 changed += 1;
+                if changed == limit {
+                    break;
+                }
             }
         }
         changed
@@ -2842,5 +2917,61 @@ mod tests {
         assert_eq!(s.class, RouteClass::FromCustomer);
         // And S re-exports to its own customer.
         assert!(outcome.route(Asn(2)).is_some());
+    }
+
+    /// Every attack strategy under both export modes, plus the unattacked
+    /// spec, over a few pairs and paddings of a seeded generated graph.
+    fn strategy_matrix_outcomes(g: &AsGraph) -> Vec<RoutingOutcome<'_>> {
+        let engine = RoutingEngine::new(g);
+        let strategies = [
+            AttackStrategy::StripPadding { keep: 1 },
+            AttackStrategy::StripAllPadding,
+            AttackStrategy::ForgeDirect,
+            AttackStrategy::OriginHijack,
+            AttackStrategy::PoisonPath { poisoned: Asn(101) },
+        ];
+        let mut outcomes = Vec::new();
+        for (victim, attacker) in [(Asn(20_000), Asn(100)), (Asn(20_003), Asn(1_002))] {
+            for pad in 1..=4 {
+                let spec = DestinationSpec::new(victim).origin_padding(pad);
+                outcomes.push(engine.compute(&spec));
+                for strategy in strategies {
+                    for mode in [ExportMode::Compliant, ExportMode::ViolateValleyFree] {
+                        let model = AttackerModel::new(attacker).strategy(strategy).mode(mode);
+                        outcomes.push(engine.compute(&spec.clone().attacker(model)));
+                    }
+                }
+            }
+        }
+        outcomes
+    }
+
+    #[test]
+    fn any_changed_matches_changed_count_across_the_strategy_matrix() {
+        let g = InternetConfig::small().seed(23).build();
+        let outcomes = strategy_matrix_outcomes(&g);
+        assert!(outcomes.iter().any(|o| !o.has_attack()));
+        assert!(outcomes.iter().any(|o| o.changed_count() > 0));
+        for o in &outcomes {
+            assert_eq!(o.any_changed(), o.changed_count() > 0, "{:?}", o.spec());
+        }
+    }
+
+    #[test]
+    fn index_accessors_match_the_asn_accessors() {
+        let g = InternetConfig::small().seed(24).build();
+        for o in &strategy_matrix_outcomes(&g) {
+            for (idx, asn) in g.asns().enumerate() {
+                let route = o.route(asn);
+                assert_eq!(o.route_at(idx), route);
+                assert_eq!(o.is_polluted_at(idx), o.is_polluted(asn));
+                let hop = |p: Option<usize>| p.map(|p| g.asn_at(p));
+                assert_eq!(hop(o.parent_at(idx)), route.and_then(|r| r.next_hop));
+                assert_eq!(
+                    hop(o.clean_parent_at(idx)),
+                    o.clean_route(asn).and_then(|r| r.next_hop)
+                );
+            }
+        }
     }
 }

@@ -152,17 +152,21 @@ fn spec_for(config: &EstimatorConfig, victim: Asn, attacker: Asn) -> Destination
         )
 }
 
-/// Measures one resolved cell over `vantages` (or the full population).
+/// Measures one resolved cell over the `vantages` node indices (or the
+/// full population).
 fn measure(
     outcome: &RoutingOutcome<'_>,
     config: &EstimatorConfig,
-    vantages: Option<&[Asn]>,
+    vantages: Option<&[u32]>,
 ) -> (f64, f64) {
     let delivers = !matches!(config.strategy, AttackStrategy::OriginHijack);
     let pollution = match vantages {
         None => outcome.polluted_fraction(),
         Some(subset) => {
-            let polluted = subset.iter().filter(|&&v| outcome.is_polluted(v)).count();
+            let polluted = subset
+                .iter()
+                .filter(|&&v| outcome.is_polluted_at(v as usize))
+                .count();
             if subset.is_empty() {
                 0.0
             } else {
@@ -172,6 +176,62 @@ fn measure(
     };
     let interception = if delivers { pollution } else { 0.0 };
     (pollution, interception)
+}
+
+/// One Monte-Carlo draw: the sampled pair and, when configured, its
+/// vantage subset as node indices, in draw order (`u32`, as in the CSR
+/// index: 600 subsets of 1000 vantages are held at once).
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Draw {
+    victim: Asn,
+    attacker: Asn,
+    vantages: Option<Vec<u32>>,
+}
+
+/// Makes every draw up-front from the seeded RNG.
+///
+/// Vantages are rejection-sampled: distinct nodes other than the victim
+/// (the victim itself is never polluted). Node `j` is the `j`-th AS of
+/// `graph.asns()`, so a dense bitmap answers "already drawn?" in O(1);
+/// only the marked entries are cleared after each subset.
+fn draw_samples(graph: &AsGraph, config: &EstimatorConfig) -> Vec<Draw> {
+    let victims = victim_pool(graph, config.victims, config.seed);
+    let attackers = attacker_pool(graph, config.attackers, config.seed);
+    let n = graph.len();
+    let mut drawn = vec![false; n];
+
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut draws = Vec::with_capacity(config.samples);
+    for _ in 0..config.samples {
+        let (victim, attacker) = loop {
+            let v = victims[rng.gen_range(0..victims.len())];
+            let m = attackers[rng.gen_range(0..attackers.len())];
+            if v != m {
+                break (v, m);
+            }
+        };
+        let victim_idx = graph.index_of(victim);
+        let vantages = config.vantages.map(|k| {
+            let mut subset: Vec<u32> = Vec::with_capacity(k);
+            while subset.len() < k.min(n.saturating_sub(1)) {
+                let j = rng.gen_range(0..n);
+                if Some(j) != victim_idx && !drawn[j] {
+                    drawn[j] = true;
+                    subset.push(u32::try_from(j).expect("node indices fit u32"));
+                }
+            }
+            for &j in &subset {
+                drawn[j as usize] = false;
+            }
+            subset
+        });
+        draws.push(Draw {
+            victim,
+            attacker,
+            vantages,
+        });
+    }
+    draws
 }
 
 /// Runs the estimator with a default [`BatchRunner`].
@@ -194,50 +254,23 @@ pub fn estimate(graph: &AsGraph, config: &EstimatorConfig) -> Estimate {
 pub fn estimate_with(graph: &AsGraph, config: &EstimatorConfig, runner: &BatchRunner) -> Estimate {
     assert!(config.samples > 0, "estimator needs at least one sample");
     let _span = aspp_obs::trace::span("scenario.estimate");
-    let victims = victim_pool(graph, config.victims, config.seed);
-    let attackers = attacker_pool(graph, config.attackers, config.seed);
-    let population: Vec<Asn> = graph.asns().collect();
-
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut draws: Vec<(Asn, Asn, Option<Vec<Asn>>)> = Vec::with_capacity(config.samples);
-    for _ in 0..config.samples {
-        let (victim, attacker) = loop {
-            let v = victims[rng.gen_range(0..victims.len())];
-            let m = attackers[rng.gen_range(0..attackers.len())];
-            if v != m {
-                break (v, m);
-            }
-        };
-        let vantage = config.vantages.map(|k| {
-            let mut subset: Vec<Asn> = Vec::with_capacity(k);
-            // Rejection-sample distinct vantages that are not the victim
-            // (the victim itself is never polluted).
-            while subset.len() < k.min(population.len().saturating_sub(1)) {
-                let candidate = population[rng.gen_range(0..population.len())];
-                if candidate != victim && !subset.contains(&candidate) {
-                    subset.push(candidate);
-                }
-            }
-            subset
-        });
-        draws.push((victim, attacker, vantage));
-    }
+    let draws = draw_samples(graph, config);
 
     let specs: Vec<DestinationSpec> = draws
         .iter()
-        .map(|(v, m, _)| spec_for(config, *v, *m))
+        .map(|d| spec_for(config, d.victim, d.attacker))
         .collect();
     let measured: Vec<(f64, f64)> = runner.run(graph, &specs, |i, outcome| {
         counters::incr(Counter::McSample);
-        measure(outcome, config, draws[i].2.as_deref())
+        measure(outcome, config, draws[i].vantages.as_deref())
     });
 
     let points: Vec<SamplePoint> = draws
         .iter()
         .zip(&measured)
-        .map(|((v, m, _), &(pollution, interception))| SamplePoint {
-            victim: *v,
-            attacker: *m,
+        .map(|(d, &(pollution, interception))| SamplePoint {
+            victim: d.victim,
+            attacker: d.attacker,
             pollution,
             interception,
         })
@@ -260,10 +293,15 @@ pub fn estimate_with(graph: &AsGraph, config: &EstimatorConfig, runner: &BatchRu
 }
 
 /// Enumerates every (victim, attacker) pair of the configured pools and
-/// measures the full population — the ground truth for cross-validation.
-/// Quadratic in the pool sizes; only affordable below Internet scale.
+/// measures the full population through `runner` — the ground truth for
+/// cross-validation. Quadratic in the pool sizes; only affordable below
+/// Internet scale.
 #[must_use]
-pub fn exact_enumeration(graph: &AsGraph, config: &EstimatorConfig) -> ExactEnumeration {
+pub fn exact_enumeration(
+    graph: &AsGraph,
+    config: &EstimatorConfig,
+    runner: &BatchRunner,
+) -> ExactEnumeration {
     let _span = aspp_obs::trace::span("scenario.exact");
     let victims = victim_pool(graph, config.victims, config.seed);
     let attackers = attacker_pool(graph, config.attackers, config.seed);
@@ -277,7 +315,7 @@ pub fn exact_enumeration(graph: &AsGraph, config: &EstimatorConfig) -> ExactEnum
         })
         .collect();
     let specs: Vec<DestinationSpec> = cells.iter().map(|&(v, m)| spec_for(config, v, m)).collect();
-    let measured: Vec<(f64, f64)> = BatchRunner::new().run(graph, &specs, |_, outcome| {
+    let measured: Vec<(f64, f64)> = runner.run(graph, &specs, |_, outcome| {
         counters::incr(Counter::McSample);
         measure(outcome, config, None)
     });
@@ -431,6 +469,62 @@ mod tests {
         }
     }
 
+    /// Reference sampler: subset membership by `Vec::contains`, subsets
+    /// as ASNs.
+    fn reference_draws(
+        graph: &AsGraph,
+        config: &EstimatorConfig,
+    ) -> Vec<(Asn, Asn, Option<Vec<Asn>>)> {
+        let victims = victim_pool(graph, config.victims, config.seed);
+        let attackers = attacker_pool(graph, config.attackers, config.seed);
+        let population: Vec<Asn> = graph.asns().collect();
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut draws = Vec::with_capacity(config.samples);
+        for _ in 0..config.samples {
+            let (victim, attacker) = loop {
+                let v = victims[rng.gen_range(0..victims.len())];
+                let m = attackers[rng.gen_range(0..attackers.len())];
+                if v != m {
+                    break (v, m);
+                }
+            };
+            let vantage = config.vantages.map(|k| {
+                let mut subset: Vec<Asn> = Vec::with_capacity(k);
+                while subset.len() < k.min(population.len().saturating_sub(1)) {
+                    let candidate = population[rng.gen_range(0..population.len())];
+                    if candidate != victim && !subset.contains(&candidate) {
+                        subset.push(candidate);
+                    }
+                }
+                subset
+            });
+            draws.push((victim, attacker, vantage));
+        }
+        draws
+    }
+
+    #[test]
+    fn bitmap_sampler_draws_what_the_reference_sampler_draws() {
+        let g = graph();
+        for k in [None, Some(1), Some(20), Some(g.len() - 1)] {
+            let cfg = EstimatorConfig {
+                samples: 25,
+                vantages: k,
+                ..config()
+            };
+            let drawn: Vec<(Asn, Asn, Option<Vec<Asn>>)> = draw_samples(&g, &cfg)
+                .into_iter()
+                .map(|d| {
+                    let subset = d
+                        .vantages
+                        .map(|v| v.into_iter().map(|j| g.asn_at(j as usize)).collect());
+                    (d.victim, d.attacker, subset)
+                })
+                .collect();
+            assert_eq!(drawn, reference_draws(&g, &cfg), "k = {k:?}");
+        }
+    }
+
     #[test]
     fn exact_enumeration_covers_the_pool_product() {
         let g = graph();
@@ -439,7 +533,7 @@ mod tests {
             attackers: 6,
             ..config()
         };
-        let exact = exact_enumeration(&g, &cfg);
+        let exact = exact_enumeration(&g, &cfg, &BatchRunner::new());
         // 6×6 minus the diagonal collisions actually present in the pools.
         assert!(exact.cells >= 30 && exact.cells <= 36, "{}", exact.cells);
         assert!((0.0..=1.0).contains(&exact.mean_pollution));

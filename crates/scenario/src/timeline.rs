@@ -322,11 +322,11 @@ impl Scenario {
         let probe_sources = self.probe_sources(graph);
 
         let mut steps = Vec::new();
-        let mut prev_routes: Option<Vec<Option<aspp_routing::RouteInfo>>> = None;
+        let mut prev_exact: Option<RoutingOutcome<'_>> = None;
         for t in self.times() {
             let state = self.state_at(t);
             let specs = self.step_specs(&state);
-            let outcomes: Vec<RoutingOutcome<'_>> =
+            let mut outcomes: Vec<RoutingOutcome<'_>> =
                 runner.run(graph, &specs, |_, outcome| outcome.clone());
             counters::incr(Counter::ScenarioStep);
 
@@ -377,13 +377,12 @@ impl Scenario {
             let alarms = detector.scan(&before, &after).len();
 
             // Between-step churn on the exact prefix: how many ASes moved.
-            let routes: Vec<Option<aspp_routing::RouteInfo>> =
-                graph.asns().map(|a| exact.route(a)).collect();
-            let churn = prev_routes
-                .as_ref()
-                .map(|prev| prev.iter().zip(&routes).filter(|(a, b)| a != b).count())
-                .unwrap_or(0);
-            prev_routes = Some(routes);
+            let churn = prev_exact.as_ref().map_or(0, |prev| {
+                (0..graph.len())
+                    .filter(|&i| prev.route_at(i) != exact.route_at(i))
+                    .count()
+            });
+            prev_exact = Some(outcomes.swap_remove(0));
 
             steps.push(StepReport {
                 state,

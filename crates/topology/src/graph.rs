@@ -1,5 +1,6 @@
 //! The annotated AS-level graph.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -528,9 +529,12 @@ impl AsGraph {
     /// the ranking the paper uses to pick detection monitors (Section VI-C).
     #[must_use]
     pub fn asns_by_degree(&self) -> Vec<Asn> {
-        let mut v: Vec<Asn> = self.asns().collect();
-        v.sort_by(|&a, &b| self.degree(b).cmp(&self.degree(a)).then_with(|| a.cmp(&b)));
-        v
+        let mut keyed: Vec<(Reverse<usize>, Asn)> = (0..self.len())
+            .map(|i| (Reverse(self.degree_at(i)), self.asn_at(i)))
+            .collect();
+        // ASNs are unique, so the keys are too and an unstable sort is exact.
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(_, asn)| asn).collect()
     }
 }
 
@@ -718,6 +722,21 @@ mod tests {
                                        // Ties (2 and 3, both degree 2) break by ascending ASN.
         assert_eq!(&ranked[1..3], &[Asn(2), Asn(3)]);
         assert_eq!(ranked[3], Asn(4));
+    }
+
+    #[test]
+    fn degree_ranking_matches_a_per_comparison_degree_sort() {
+        // Insertion order differs from ASN order, and most degrees tie.
+        let mut g = AsGraph::new();
+        for (p, c) in [(9, 5), (9, 7), (9, 3), (2, 5), (2, 8), (6, 8), (6, 3)] {
+            g.add_provider_customer(Asn(p), Asn(c)).unwrap();
+        }
+        g.add_peering(Asn(9), Asn(2)).unwrap();
+        g.add_peering(Asn(4), Asn(1)).unwrap();
+        let mut reference: Vec<Asn> = g.asns().collect();
+        reference.sort_by(|&a, &b| g.degree(b).cmp(&g.degree(a)).then_with(|| a.cmp(&b)));
+        assert_eq!(g.asns_by_degree(), reference);
+        assert_eq!(&reference[..2], &[Asn(9), Asn(2)]);
     }
 
     #[test]

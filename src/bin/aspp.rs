@@ -192,6 +192,16 @@ fn record_topology(manifest: &mut RunManifest, graph: &AsGraph) {
     });
 }
 
+/// Builds the synthetic Internet at `scale`, timing it as the manifest's
+/// `generate` phase and recording its identity.
+fn generate(manifest: &mut RunManifest, scale: Scale, seed: u64) -> AsGraph {
+    let t0 = Instant::now();
+    let graph = scale.internet(seed);
+    manifest.push_phase("generate", t0.elapsed().as_secs_f64() * 1e3);
+    record_topology(manifest, &graph);
+    graph
+}
+
 /// Records the scale label and seed in the manifest.
 fn record_scale(manifest: &mut RunManifest, scale: Scale, seed: u64) {
     manifest.seed = Some(seed);
@@ -1180,8 +1190,7 @@ fn cmd_scenario(args: &[String], manifest: &mut RunManifest) -> Result<(), Strin
     }
 
     record_scale(manifest, scale, seed);
-    let graph = scale.internet(seed);
-    record_topology(manifest, &graph);
+    let graph = generate(manifest, scale, seed);
 
     let runner = if serial {
         BatchRunner::new().serial()
@@ -1239,8 +1248,7 @@ fn cmd_estimate(args: &[String], manifest: &mut RunManifest) -> Result<(), Strin
     }
 
     record_scale(manifest, scale, seed);
-    let graph = scale.internet(seed);
-    record_topology(manifest, &graph);
+    let graph = generate(manifest, scale, seed);
     manifest.push_strategy(&format!(
         "estimate: {} samples over {}x{} pools, {} resamples ({})",
         config.samples,
@@ -1257,7 +1265,7 @@ fn cmd_estimate(args: &[String], manifest: &mut RunManifest) -> Result<(), Strin
     };
     let t0 = Instant::now();
     let mut text = if flags.has("--exact") {
-        let (est, exact, within) = cross_validate(&graph, &config);
+        let (est, exact, within) = cross_validate(&graph, &config, &runner);
         manifest.push_phase("estimate_cross_validate", t0.elapsed().as_secs_f64() * 1e3);
         let mut text = est.render();
         text.push_str(&format!(
@@ -1302,10 +1310,7 @@ fn cmd_gen(args: &[String], manifest: &mut RunManifest) -> Result<(), String> {
     let scale = flags.scale()?;
     let seed = flags.seed()?;
     record_scale(manifest, scale, seed);
-    let t0 = Instant::now();
-    let graph = scale.internet(seed);
-    manifest.push_phase("generate", t0.elapsed().as_secs_f64() * 1e3);
-    record_topology(manifest, &graph);
+    let graph = generate(manifest, scale, seed);
     if let Some(path) = flags.value("--out") {
         let t = Instant::now();
         std::fs::write(path, to_caida(&graph)).map_err(|e| format!("writing {path}: {e}"))?;

@@ -145,3 +145,55 @@ fn impact_figure_selector_works() {
     let out = aspp(&["impact", "--figure", "99"]);
     assert!(!out.status.success());
 }
+
+/// The report without its `wall:` line, which is the only part that may
+/// differ between runs.
+fn report_body(output: &Output) -> String {
+    stdout(output)
+        .lines()
+        .filter(|l| !l.starts_with("wall:"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn estimate_exact_honours_serial() {
+    let args = ["estimate", "--scale", "smoke", "--seed", "5", "--exact"];
+    let batch = aspp(&args);
+    assert!(batch.status.success(), "{}", stdout(&batch));
+    let serial = aspp(&[&args[..], &["--serial"]].concat());
+    assert!(serial.status.success(), "{}", stdout(&serial));
+    assert!(stdout(&serial).contains("[serial]"));
+    assert!(report_body(&batch).contains("cross-validation"));
+    assert_eq!(report_body(&serial), report_body(&batch));
+}
+
+#[test]
+fn scenario_and_estimate_manifests_time_topology_generation() {
+    let dir = std::env::temp_dir().join("aspp_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (command, phase) in [("scenario", "scenario"), ("estimate", "estimate")] {
+        let file = dir.join(format!("{command}_phases.manifest.json"));
+        let path = file.to_str().unwrap();
+        let out = aspp(&[
+            command,
+            "--scale",
+            "smoke",
+            "--seed",
+            "4",
+            "--manifest",
+            path,
+        ]);
+        assert!(out.status.success(), "{}", stdout(&out));
+        let manifest = std::fs::read_to_string(&file).unwrap();
+        let start = manifest.find("\"wall_ms\":{").expect("manifest has phases");
+        let phases = &manifest[start..start + manifest[start..].find('}').unwrap()];
+        for name in ["generate", phase] {
+            assert!(
+                phases.contains(&format!("\"{name}\":")),
+                "{command} manifest misses {name}: {phases}"
+            );
+        }
+        std::fs::remove_file(file).ok();
+    }
+}

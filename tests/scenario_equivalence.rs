@@ -230,7 +230,7 @@ fn paper_scale_ci_brackets_exact_enumeration_at_1000_samples() {
     let graph = Scale::Paper.internet(2024);
     let config = estimator_config(Scale::Paper, 2024);
     assert!(config.samples >= 1000, "paper scale draws n >= 1000");
-    let (est, exact, within) = cross_validate(&graph, &config);
+    let (est, exact, within) = cross_validate(&graph, &config, &BatchRunner::new());
     assert!(
         within,
         "exact mean {} outside 95% CI [{}, {}]",
