@@ -198,25 +198,33 @@ impl<'g> Detector<'g> {
     #[must_use]
     pub fn scan(&self, before: &RouteView, after: &RouteView) -> Vec<Alarm> {
         let index = ViewIndex::build(after);
-        self.scan_with_index(before, after, &index)
+        self.scan_asns(before, after, &index, after.observed_asns())
     }
 
-    /// [`scan`](Self::scan) against a caller-maintained index of `after`,
-    /// for streaming callers that keep views and index alive across updates
-    /// instead of rebuilding them per record.
-    pub(crate) fn scan_with_index(
+    /// [`scan`](Self::scan) restricted to the ASes in `asns`, against a
+    /// caller-maintained index of `after`. It returns exactly what `scan`
+    /// returns whenever every AS left out fails [`padding_fell`]: such an
+    /// AS has no route pair that can pass `check_slices`, so it never
+    /// alarms. Alarms at different ASes differ in `observed_at`, so the
+    /// final sort puts them in the same order whichever ASes are visited
+    /// and in whatever order.
+    pub(crate) fn scan_asns(
         &self,
         before: &RouteView,
         after: &RouteView,
         index: &ViewIndex,
+        asns: impl IntoIterator<Item = Asn>,
     ) -> Vec<Alarm> {
         let mut alarms = Vec::new();
         let mut scratch = Vec::new();
-        for d in after.observed_asns() {
+        for d in asns {
             let prev_routes = before.routes_of(d);
             if prev_routes.is_empty() {
                 continue;
             }
+            // Alarms raised at `d` all carry `observed_at == d`, so only
+            // this AS's own alarms can be duplicates.
+            let first = alarms.len();
             for full_now in after.routes_of(d) {
                 let now_hops = full_now.hops();
                 let now_stripped = strip_head(now_hops);
@@ -227,7 +235,7 @@ impl<'g> Detector<'g> {
                         if let Some(alarm) =
                             self.check_slices(d, r_prev, r_now, index, &mut scratch)
                         {
-                            if !alarms.contains(&alarm) {
+                            if !alarms[first..].contains(&alarm) {
                                 alarms.push(alarm);
                             }
                         }
@@ -239,7 +247,7 @@ impl<'g> Detector<'g> {
                     if let Some(alarm) =
                         self.check_slices(d, prev_hops, now_hops, index, &mut scratch)
                     {
-                        if !alarms.contains(&alarm) {
+                        if !alarms[first..].contains(&alarm) {
                             alarms.push(alarm);
                         }
                     }
@@ -249,6 +257,25 @@ impl<'g> Detector<'g> {
         alarms.sort_by_key(|a| (std::cmp::Reverse(a.confidence), a.suspect, a.observed_at));
         alarms
     }
+}
+
+/// True when some `(prev, now)` pair of one AS's routes ends at the same
+/// origin with less origin padding on `now`: the first two gates of
+/// `check_slices`. Stripping the head (`strip_head`) keeps the origin and
+/// its trailing padding run, so the received-path check passes those gates
+/// exactly when the whole-path check does. An AS for which this is false
+/// can therefore never alarm.
+pub(crate) fn padding_fell(prev: &[AsPath], now: &[AsPath]) -> bool {
+    now.iter().any(|now| {
+        let now = now.hops();
+        now.last().is_some_and(|origin| {
+            let lambda_now = origin_padding(now);
+            prev.iter().any(|prev| {
+                let prev = prev.hops();
+                prev.last() == Some(origin) && lambda_now < origin_padding(prev)
+            })
+        })
+    })
 }
 
 /// Pre-indexed view: origin padding per (transit segment, origin), and a

@@ -9,25 +9,38 @@
 //!
 //! # Hot path
 //!
-//! A resident service processes each update in amortized O(changed routes),
-//! not O(view): every tracked prefix keeps its *before*/*after*
-//! [`RouteView`]s and the scan index (`ViewIndex`) alive across updates,
-//! mutated incrementally as announcements replace paths — instead of
-//! rebuilding all three from the path maps on every record, which dominated
-//! the feed pipeline's per-record cost. The incremental structures hold
-//! exactly the route sets a from-scratch rebuild would (see `RouteView`
-//! docs), so alarm output is unchanged; `reference_oracle_equivalence`
-//! below pins that against a direct from-scratch reimplementation.
+//! A resident service processes each update in time proportional to what
+//! it changed, not to the prefix's whole view. Every tracked prefix keeps
+//! its *before*/*after* [`RouteView`]s and the scan index (`ViewIndex`)
+//! alive across updates, mutated incrementally as announcements replace
+//! paths; the incremental structures hold exactly the route sets a
+//! from-scratch rebuild would (see `RouteView` docs).
+//!
+//! On top of the views, each prefix keeps a *candidate set*: the ASes `d`
+//! with a previous and a current route toward the same origin whose origin
+//! padding fell (`padding_fell`). Only those ASes can alarm — the detector's
+//! checks return nothing unless the origins match and the padding dropped,
+//! and stripping the head of a route keeps its origin and padding run — so
+//! the scan visits the candidates alone. A suffix route enters or leaves a
+//! view exactly when `RouteView`'s `_with` callbacks fire, and its first hop
+//! is the AS whose route set changed, so candidacy is refreshed only for
+//! those ASes. A prefix built by seeding or restore refreshes its whole
+//! view once, before its first scan, so seeding costs nothing extra.
+//!
+//! Alarm output is unchanged: `reference_oracle_equivalence` below and the
+//! workspace's `tests/stream_differential.rs` pin it against a full rescan
+//! rebuilt from scratch on every record.
 
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use aspp_data::{UpdateAction, UpdateRecord};
+use aspp_obs::counters::{self, Counter};
 use aspp_topology::AsGraph;
 use aspp_types::{AsPath, Asn, Ipv4Prefix};
 
-use crate::detector::{Alarm, Detector, ViewIndex};
+use crate::detector::{padding_fell, Alarm, Detector, ViewIndex};
 use crate::view::RouteView;
 
 /// An alarm raised by the streaming detector, tagged with its trigger.
@@ -42,8 +55,8 @@ pub struct StreamAlarm {
 }
 
 /// Everything the detector tracks for one prefix: the authoritative path
-/// maps, plus the derived views and scan index kept in lockstep so `process`
-/// never rebuilds them.
+/// maps, plus the derived views, scan index and candidate set kept in
+/// lockstep so `process` never rebuilds them.
 #[derive(Clone, Debug, Default)]
 struct PrefixState {
     /// Current announced path per monitor.
@@ -56,53 +69,104 @@ struct PrefixState {
     previous_view: RouteView,
     /// Scan index over `current_view`, incrementally maintained.
     index: ViewIndex,
+    /// ASes with a previous and a current route toward one origin whose
+    /// padding fell: the only ASes a scan can alarm at. Exact once
+    /// [`refresh_candidates`](Self::refresh_candidates) has run.
+    candidates: HashSet<Asn>,
+    /// ASes whose route set changed in either view since candidacy was
+    /// last refreshed. `None` (the default, so every state built by seeding
+    /// or restore) means the whole view awaits its first refresh.
+    touched: Option<Vec<Asn>>,
+}
+
+/// Notes that `route`'s first hop changed its route set, unless the whole
+/// view is awaiting a refresh anyway.
+fn touch(touched: &mut Option<Vec<Asn>>, route: &AsPath) {
+    if let (Some(touched), Some(&d)) = (touched, route.hops().first()) {
+        touched.push(d);
+    }
 }
 
 impl PrefixState {
     /// Replaces the monitor's current path, returning the displaced one;
-    /// view and index follow.
+    /// view, index and touched set follow.
     fn current_insert(&mut self, monitor: Asn, path: AsPath) -> Option<AsPath> {
         let old = self.current.insert(monitor, path.clone());
         if old.as_ref() != Some(&path) {
+            let (index, touched) = (&mut self.index, &mut self.touched);
             if let Some(old) = &old {
-                let index = &mut self.index;
-                self.current_view
-                    .remove_path_with(old, |gone| index.remove_route(gone.hops()));
+                self.current_view.remove_path_with(old, |gone| {
+                    index.remove_route(gone.hops());
+                    touch(touched, gone);
+                });
             }
-            let index = &mut self.index;
-            self.current_view
-                .add_path_with(&path, |new| index.add_route(new.hops()));
+            self.current_view.add_path_with(&path, |new| {
+                index.add_route(new.hops());
+                touch(touched, new);
+            });
         }
         old
     }
 
-    /// Removes the monitor's current path (withdrawal); view and index
-    /// follow.
-    fn current_remove(&mut self, monitor: Asn) -> Option<AsPath> {
-        let old = self.current.remove(&monitor);
-        if let Some(old) = &old {
-            let index = &mut self.index;
-            self.current_view
-                .remove_path_with(old, |gone| index.remove_route(gone.hops()));
+    /// Removes the monitor's current path (withdrawal); view, index and
+    /// touched set follow.
+    fn current_remove(&mut self, monitor: Asn) {
+        if let Some(old) = self.current.remove(&monitor) {
+            let (index, touched) = (&mut self.index, &mut self.touched);
+            self.current_view.remove_path_with(&old, |gone| {
+                index.remove_route(gone.hops());
+                touch(touched, gone);
+            });
         }
-        old
     }
 
-    /// Replaces the monitor's previous path; the before-view follows.
+    /// Replaces the monitor's previous path; the before-view and touched
+    /// set follow.
     fn previous_insert(&mut self, monitor: Asn, path: AsPath) {
         let old = self.previous.insert(monitor, path.clone());
         if old.as_ref() != Some(&path) {
+            let touched = &mut self.touched;
             if let Some(old) = &old {
-                self.previous_view.remove_path(old);
+                self.previous_view
+                    .remove_path_with(old, |gone| touch(touched, gone));
             }
-            self.previous_view.add_path(&path);
+            self.previous_view
+                .add_path_with(&path, |new| touch(touched, new));
         }
     }
 
-    /// Removes the monitor's previous path; the before-view follows.
+    /// Removes the monitor's previous path; the before-view and touched
+    /// set follow.
     fn previous_remove(&mut self, monitor: Asn) {
         if let Some(old) = self.previous.remove(&monitor) {
-            self.previous_view.remove_path(&old);
+            let touched = &mut self.touched;
+            self.previous_view
+                .remove_path_with(&old, |gone| touch(touched, gone));
+        }
+    }
+
+    /// Brings `candidates` up to date: re-judges each touched AS, or every
+    /// AS of the current view when the whole view awaits a refresh (an AS
+    /// without a current route cannot be a candidate).
+    fn refresh_candidates(&mut self) {
+        let (before, after) = (&self.previous_view, &self.current_view);
+        let fell = |d: Asn| padding_fell(before.routes_of(d), after.routes_of(d));
+        match &mut self.touched {
+            Some(touched) => {
+                touched.sort_unstable();
+                touched.dedup();
+                for d in touched.drain(..) {
+                    if fell(d) {
+                        self.candidates.insert(d);
+                    } else {
+                        self.candidates.remove(&d);
+                    }
+                }
+            }
+            None => {
+                self.candidates = after.observed_asns().filter(|&d| fell(d)).collect();
+                self.touched = Some(Vec::new());
+            }
         }
     }
 
@@ -183,8 +247,12 @@ pub struct StreamingDetector<G = Arc<AsGraph>> {
     /// moment their last monitor withdraws, so a resident service's memory
     /// tracks *live* state, not every prefix ever seen.
     states: HashMap<Ipv4Prefix, PrefixState>,
-    /// Alarms already raised, to keep the stream idempotent.
-    raised: HashSet<(Ipv4Prefix, Asn, Asn)>,
+    /// `(suspect, observed_at)` keys of the alarms already raised, per
+    /// prefix, to keep the stream idempotent. Keyed by prefix so a
+    /// withdrawal re-arms its own prefix's keys without visiting anyone
+    /// else's; kept apart from `states` because keys outlive a pruned
+    /// prefix.
+    raised: HashMap<Ipv4Prefix, HashSet<(Asn, Asn)>>,
 }
 
 impl<'g> StreamingDetector<&'g AsGraph> {
@@ -214,7 +282,7 @@ impl<G: Borrow<AsGraph>> StreamingDetector<G> {
         StreamingDetector {
             graph,
             states: HashMap::new(),
-            raised: HashSet::new(),
+            raised: HashMap::new(),
         }
     }
 
@@ -268,7 +336,11 @@ impl<G: Borrow<AsGraph>> StreamingDetector<G> {
         let key = |(p, m, _): &(Ipv4Prefix, Asn, AsPath)| (p.addr(), p.len(), *m);
         current.sort_by_key(key);
         previous.sort_by_key(key);
-        let mut raised: Vec<_> = self.raised.iter().copied().collect();
+        let mut raised: Vec<_> = self
+            .raised
+            .iter()
+            .flat_map(|(&prefix, keys)| keys.iter().map(move |&(a, b)| (prefix, a, b)))
+            .collect();
         raised.sort_by_key(|&(p, a, b)| (p.addr(), p.len(), a, b));
         DetectorState {
             current,
@@ -296,7 +368,12 @@ impl<G: Borrow<AsGraph>> StreamingDetector<G> {
                 .or_default()
                 .previous_insert(*monitor, path.clone());
         }
-        self.raised.extend(state.raised.iter().copied());
+        for &(prefix, suspect, observed_at) in &state.raised {
+            self.raised
+                .entry(prefix)
+                .or_default()
+                .insert((suspect, observed_at));
+        }
     }
 
     /// Applies one update and returns any *new* alarms it exposes.
@@ -318,9 +395,12 @@ impl<G: Borrow<AsGraph>> StreamingDetector<G> {
                         self.states.remove(&update.prefix);
                     }
                 }
-                self.raised.retain(|&(prefix, _, observed_at)| {
-                    !(prefix == update.prefix && observed_at == update.monitor)
-                });
+                if let Some(keys) = self.raised.get_mut(&update.prefix) {
+                    keys.retain(|&(_, observed_at)| observed_at != update.monitor);
+                    if keys.is_empty() {
+                        self.raised.remove(&update.prefix);
+                    }
+                }
                 Vec::new()
             }
             UpdateAction::Announce(path) => {
@@ -330,16 +410,20 @@ impl<G: Borrow<AsGraph>> StreamingDetector<G> {
                 }
 
                 // Compare the stored previous paths against the current
-                // ones, over the live views and index.
-                let mut out = Vec::new();
-                let scan = Detector::new(self.graph.borrow()).scan_with_index(
+                // ones, over the live views and index, at the only ASes
+                // that can alarm.
+                st.refresh_candidates();
+                counters::add(Counter::FeedScanAs, st.candidates.len() as u64);
+                let scan = Detector::new(self.graph.borrow()).scan_asns(
                     &st.previous_view,
                     &st.current_view,
                     &st.index,
+                    st.candidates.iter().copied(),
                 );
+                let mut out = Vec::new();
                 for alarm in scan {
-                    let key = (update.prefix, alarm.suspect, alarm.observed_at);
-                    if self.raised.insert(key) {
+                    let key = (alarm.suspect, alarm.observed_at);
+                    if self.raised.entry(update.prefix).or_default().insert(key) {
                         out.push(StreamAlarm {
                             prefix: update.prefix,
                             triggered_by_seq: update.seq,

@@ -330,6 +330,42 @@ mod tests {
         assert!(Checkpoint::decode(&truncated).is_err());
     }
 
+    /// Checkpoint bytes are a format: the same stream must encode to the
+    /// same bytes across changes to the detector's internal bookkeeping.
+    /// The digest pins every checkpoint taken along an attack- and
+    /// withdrawal-heavy stream, raised-alarm rows included.
+    #[test]
+    fn seeded_stream_checkpoint_bytes_are_pinned() {
+        use crate::pipeline::{FeedConfig, FeedEngine};
+        use crate::replay::ReplayConfig;
+        use aspp_topology::gen::InternetConfig;
+        use std::sync::Arc;
+
+        let graph = Arc::new(InternetConfig::small().seed(21).build());
+        let feed = ReplayConfig::new(30)
+            .attack_ratio(0.6)
+            .withdraw_ratio(0.6)
+            .seed(21)
+            .generate(&graph);
+        let mut engine = FeedEngine::new(graph, &FeedConfig::new(1));
+        engine.seed_from_corpus(&feed.corpus);
+        let (mut digest, mut len, mut raised) = (0u32, 0usize, 0usize);
+        for chunk in feed.updates().chunks(50) {
+            let _ = engine.ingest(chunk);
+            let ckpt = Checkpoint::capture(&engine);
+            raised = raised.max(ckpt.state.raised.len());
+            let bytes = ckpt.encode();
+            len += bytes.len();
+            digest = fnv1a32(digest.to_le_bytes().into_iter().chain(bytes));
+        }
+        assert!(raised > 0, "the stream must leave raised-alarm rows");
+        assert_eq!(
+            (digest, len),
+            (2_271_806_929, 1_289_975),
+            "checkpoint bytes changed"
+        );
+    }
+
     #[test]
     fn lying_counts_fail_cleanly_not_by_panic() {
         // Forge a checksum-valid body whose row count overruns the data:

@@ -27,6 +27,7 @@
 //! per line. Responses are rendered through `aspp-obs`'s [`JsonWriter`],
 //! the same escaping used by every other machine-readable surface.
 
+use std::collections::HashMap;
 use std::fs;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -97,6 +98,9 @@ fn string_field(line: &str, key: &str) -> Option<String> {
 pub struct DetectionService {
     engine: FeedEngine,
     alarms: Vec<StreamAlarm>,
+    /// Per prefix: how many of `alarms` name it and the index of the last
+    /// one, so a `prefix` query does not filter the whole alarm log.
+    alarms_by_prefix: HashMap<Ipv4Prefix, (u64, usize)>,
     records_in: u64,
     batches_in: u64,
     restores: u64,
@@ -113,6 +117,7 @@ impl DetectionService {
         DetectionService {
             engine,
             alarms: Vec::new(),
+            alarms_by_prefix: HashMap::new(),
             records_in: 0,
             batches_in: 0,
             restores: 0,
@@ -250,12 +255,29 @@ impl DetectionService {
             Ok(p) => p,
             Err(e) => return fail(&format!("bad prefix {text:?}: {e}")),
         };
-        let hits: Vec<&StreamAlarm> = self.alarms.iter().filter(|a| a.prefix == prefix).collect();
+        let (count, last) = self
+            .alarms_by_prefix
+            .get(&prefix)
+            .map_or((0, None), |&(count, last)| {
+                (count, Some(&self.alarms[last]))
+            });
+        self.render_prefix(&text, prefix, count, last)
+    }
+
+    /// The `prefix` response for `prefix` (spelled `text` in the request),
+    /// given how many alarms name it and the last of them.
+    fn render_prefix(
+        &self,
+        text: &str,
+        prefix: Ipv4Prefix,
+        count: u64,
+        last: Option<&StreamAlarm>,
+    ) -> String {
         let mut w = ok("prefix");
-        w.field_str("prefix", &text);
+        w.field_str("prefix", text);
         w.field_u64("monitors", self.engine.monitors_of(prefix) as u64);
-        w.field_u64("alarms", hits.len() as u64);
-        if let Some(last) = hits.last() {
+        w.field_u64("alarms", count);
+        if let Some(last) = last {
             let mut a = JsonWriter::object();
             a.field_u64("suspect", u64::from(last.alarm.suspect.0));
             a.field_u64("observed_at", u64::from(last.alarm.observed_at.0));
@@ -282,7 +304,12 @@ impl DetectionService {
                 self.records_since_checkpoint += report.records_in;
                 let new = report.alarms.len();
                 let rate = report.records_per_sec();
-                self.alarms.extend(report.alarms);
+                for alarm in report.alarms {
+                    let entry = self.alarms_by_prefix.entry(alarm.prefix).or_default();
+                    entry.0 += 1;
+                    entry.1 = self.alarms.len();
+                    self.alarms.push(alarm);
+                }
                 let mut w = ok("ingest");
                 w.field_str("file", &file);
                 w.field_u64("records", report.records_in);
@@ -610,6 +637,91 @@ mod tests {
         );
         for f in [&head, &tail, &ckpt] {
             let _ = fs::remove_file(f);
+        }
+    }
+
+    /// The per-prefix alarm index must answer every `prefix` query with the
+    /// bytes a linear filter over the whole alarm log renders, after each
+    /// ingest of a multi-ingest stream and after a restore (which keeps the
+    /// service's alarm log).
+    #[test]
+    fn prefix_index_matches_the_linear_filter() {
+        use crate::replay::ReplayConfig;
+        use aspp_topology::gen::InternetConfig;
+        use std::collections::BTreeSet;
+
+        let graph = Arc::new(InternetConfig::small().seed(3).build());
+        let feed = ReplayConfig::new(40)
+            .monitors_top_degree(12)
+            .attack_ratio(0.5)
+            .seed(3)
+            .generate(&graph);
+        let prefixes: BTreeSet<Ipv4Prefix> = feed.updates().iter().map(|u| u.prefix).collect();
+        let mut engine = FeedEngine::new(Arc::clone(&graph), &FeedConfig::new(2));
+        engine.seed_from_corpus(&feed.corpus);
+        let ckpt = tmp("prefix_index.ckpt");
+        let mut service = DetectionService::new(engine).checkpoint_file(&ckpt);
+
+        let check = |service: &DetectionService, when: &str| {
+            for &prefix in &prefixes {
+                let text = prefix.to_string();
+                let hits: Vec<&StreamAlarm> = service
+                    .alarms
+                    .iter()
+                    .filter(|a| a.prefix == prefix)
+                    .collect();
+                let linear =
+                    service.render_prefix(&text, prefix, hits.len() as u64, hits.last().copied());
+                let line = format!("{{\"cmd\":\"prefix\",\"prefix\":\"{text}\"}}");
+                assert_eq!(service.prefix_status(&line), linear, "{prefix} {when}");
+            }
+        };
+
+        let files: Vec<PathBuf> = feed
+            .updates()
+            .chunks(64)
+            .enumerate()
+            .map(|(i, chunk)| {
+                let file = tmp(&format!("prefix_index_{i}.bin"));
+                fs::write(&file, encode_records(chunk)).unwrap();
+                file
+            })
+            .collect();
+        assert!(files.len() >= 3, "stream too short: {}", files.len());
+        let ingest = |service: &mut DetectionService, file: &Path| {
+            let (reply, _) = service.handle(&format!(
+                "{{\"cmd\":\"ingest\",\"file\":\"{}\"}}",
+                file.display()
+            ));
+            assert!(reply.contains("\"ok\":true"), "{reply}");
+        };
+        let middle = files.len() / 2;
+        for (i, file) in files.iter().enumerate() {
+            ingest(&mut service, file);
+            check(&service, &format!("after ingest {i}"));
+            if i == middle {
+                let (reply, _) = service.handle("{\"cmd\":\"checkpoint\"}");
+                assert!(reply.contains("\"ok\":true"), "{reply}");
+            }
+        }
+        assert!(
+            prefixes
+                .iter()
+                .filter(|&&p| service.alarms.iter().any(|a| a.prefix == p))
+                .count()
+                >= 2,
+            "stream must alarm on several prefixes"
+        );
+        // The restore rewinds the engine to the checkpoint but keeps the
+        // alarm log; replaying the tail appends its alarms a second time.
+        service.restore_from_file(&ckpt).unwrap();
+        check(&service, "after restore");
+        for (i, file) in files.iter().enumerate().skip(middle + 1) {
+            ingest(&mut service, file);
+            check(&service, &format!("after replaying ingest {i}"));
+        }
+        for file in files.iter().chain([&ckpt]) {
+            let _ = fs::remove_file(file);
         }
     }
 

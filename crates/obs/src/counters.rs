@@ -78,6 +78,9 @@ pub enum Counter {
     FeedCheckpointWrite,
     /// Checkpoints successfully restored into a feed engine.
     FeedCheckpointRestore,
+    /// ASes the streaming detector scanned, summed over announcements: the
+    /// candidates whose origin padding fell, not every AS of the view.
+    FeedScanAs,
     /// JSONL commands answered by the resident detection service.
     ServeQuery,
     /// Attacker-derived route offers evaluated by a deploying AS's defense
@@ -99,7 +102,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of distinct counters.
-    pub const COUNT: usize = 28;
+    pub const COUNT: usize = 29;
 
     /// All counters, in snapshot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -125,6 +128,7 @@ impl Counter {
         Counter::FeedBatch,
         Counter::FeedCheckpointWrite,
         Counter::FeedCheckpointRestore,
+        Counter::FeedScanAs,
         Counter::ServeQuery,
         Counter::PolicyCheck,
         Counter::PolicyReject,
@@ -160,6 +164,7 @@ impl Counter {
             Counter::FeedBatch => "feed_batches",
             Counter::FeedCheckpointWrite => "feed_checkpoint_writes",
             Counter::FeedCheckpointRestore => "feed_checkpoint_restores",
+            Counter::FeedScanAs => "feed_scan_asns",
             Counter::ServeQuery => "serve_queries",
             Counter::PolicyCheck => "policy_checks",
             Counter::PolicyReject => "policy_rejects",
